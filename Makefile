@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race staticcheck cover bench-engine bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
+.PHONY: ci build vet test race benchmod staticcheck cover bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
 
-ci: vet staticcheck build test race
+ci: vet staticcheck build test race benchmod
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/cluster/... ./internal/faults/... ./internal/integrity/... ./internal/highradix/... ./internal/kits/... ./internal/cryptosvc/... ./internal/sca/... ./internal/qos/...
+
+# The fleet benchmark under perfbench/ is its own Go module, so the root
+# build, vet and test skip it; vet and test it here so an API change that
+# breaks the benchmark fails CI rather than the benchmark run.
+benchmod:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # CI installs staticcheck; locally the gate is skipped when the binary
 # is absent rather than failing the whole ci target.
@@ -33,12 +39,8 @@ cover:
 	$(GO) test -race -coverprofile=coverage.out -covermode=atomic ./internal/obs/... ./internal/engine/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Regenerate BENCH_engine.json's raw numbers (paste + annotate by hand).
-bench-engine:
-	$(GO) test -run xxx -bench 'EngineModExp|SequentialModExp' -benchtime 20x ./internal/engine/
-
 # Regenerate BENCH_obs.json's raw numbers: observer off vs metrics vs
-# metrics+trace on the model-mode hot path.
+# metrics+trace on the Model-kit hot path.
 bench-obs:
 	$(GO) test -run xxx -bench EngineModExpObserved -benchtime 60x -count 6 ./internal/engine/
 
@@ -71,9 +73,10 @@ qos:
 	$(GO) test -race -count=1 ./internal/qos/...
 	$(GO) test -race -count=1 -run 'Lane|QoS|RateLimited|RetryDecision|Deadline' ./internal/engine/... ./internal/server/...
 
-# Native fuzzing of everything that parses hostile bytes: the wire
+# Native fuzzing of everything that parses hostile bytes — the wire
 # frame decoders (both directions), the response-id fast path, and the
-# QoS spec parser. The committed corpus under testdata/fuzz/ replays as
+# QoS spec parser — plus the radix-2^64 word kernel, differentially
+# against math/big. The committed corpus under testdata/fuzz/ replays as
 # plain tests on every `go test`; this target mines for NEW inputs.
 # Go's fuzzer takes one -fuzz target per invocation, hence the list.
 FUZZTIME ?= 20s
@@ -82,6 +85,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzResponseID$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/qos/
+	$(GO) test -run xxx -fuzz '^FuzzWordMul$$' -fuzztime $(FUZZTIME) ./internal/highradix/
 
 # The composed soak: a live fleet (montsyslb + three montsysd) that
 # changes shape mid-run — file-watch join, kill -9, registrar goodbye —

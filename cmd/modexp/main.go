@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/expo"
+	"repro/internal/kits"
 )
 
 func main() {
@@ -42,11 +43,11 @@ func run(nHex, mHex, eHex string, simulate bool) error {
 	if !ok {
 		return fmt.Errorf("invalid exponent %q", eHex)
 	}
-	mode := expo.Model
+	kit := kits.Model
 	if simulate {
-		mode = expo.Simulate
+		kit = kits.Sim
 	}
-	ex, err := expo.New(n, mode)
+	ex, err := expo.NewKit(n, kit)
 	if err != nil {
 		return err
 	}
@@ -56,7 +57,7 @@ func run(nHex, mHex, eHex string, simulate bool) error {
 	}
 	l := rep.L
 	fmt.Printf("M^E mod N = %s\n", got.Text(16))
-	fmt.Printf("l = %d bits, mode = %s\n", l, mode)
+	fmt.Printf("l = %d bits, kit = %s\n", l, kit)
 	fmt.Printf("decomposition: %d squares + %d multiplies (+1 pre, +1 post)\n",
 		rep.Squares, rep.Multiplies)
 	fmt.Printf("cycle accounting (§4.5): pre %d + muls %d + post %d = %d cycles\n",

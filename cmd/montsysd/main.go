@@ -63,8 +63,7 @@
 // -kit picks the compute kit every core runs (model — the paper's
 // closed-form cycle accounting; sim — the gate-level radix-2 systolic
 // array; cios — the radix-2^64 CIOS fast path; big — the math/big
-// oracle; auto — per-job microbenchmark-driven selection). The older
-// -mode flag remains as a shim: -mode simulate is -kit sim.
+// oracle; auto — per-job microbenchmark-driven selection).
 //
 // With -metrics the observability endpoints of PR 2 are served too:
 // /metrics carries the engine series and the server series
@@ -103,8 +102,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":7077", "serve the binary protocol on this address")
 	workers := flag.Int("workers", 0, "engine worker cores (0 = GOMAXPROCS)")
-	kitName := flag.String("kit", "", "compute kit: model | sim | cios | big | auto (default model, or sim under -mode simulate)")
-	modeName := flag.String("mode", "model", "deprecated: execution mode model | simulate (use -kit)")
+	kitName := flag.String("kit", "model", "compute kit: model | sim | cios | big | auto")
 	variantName := flag.String("variant", "guarded", "array variant for the sim kit: guarded | faithful")
 	queue := flag.Int("queue", 0, "engine queue depth (0 = engine default)")
 	cache := flag.Int("cache", 128, "per-modulus context LRU size")
@@ -135,7 +133,7 @@ func main() {
 	oc := obsConfig{metricsAddr: *metricsAddr, traceCap: *traceCap, wideDest: *wideDest,
 		sloLatency: *sloLatency, sloTarget: *sloTarget}
 	rc := regConfig{balancers: *register, advertise: *advertise, zone: *zone}
-	if err := run(*listen, *workers, *kitName, *modeName, *variantName, *queue, *cache,
+	if err := run(*listen, *workers, *kitName, *variantName, *queue, *cache,
 		*inflight, *idle, *drain, *frameTimeout, *signBlinding, *qosSpec, oc, fc, rc); err != nil {
 		fmt.Fprintln(os.Stderr, "montsysd:", err)
 		os.Exit(1)
@@ -305,21 +303,9 @@ func (r *registrar) goodbye() {
 	}
 }
 
-func run(listen string, workers int, kitName, modeName, variantName string, queue, cache,
+func run(listen string, workers int, kitName, variantName string, queue, cache,
 	inflight int, idle, drain, frameTimeout time.Duration, signBlinding bool, qosSpec string,
 	oc obsConfig, fc faultConfig, rc regConfig) error {
-	// -kit wins when given; otherwise the deprecated -mode flag picks
-	// the matching kit so old invocations behave identically.
-	if kitName == "" {
-		switch modeName {
-		case "model":
-			kitName = "model"
-		case "simulate":
-			kitName = "sim"
-		default:
-			return fmt.Errorf("unknown mode %q", modeName)
-		}
-	}
 	kit, err := montsys.ParseKit(kitName)
 	if err != nil {
 		return err

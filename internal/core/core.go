@@ -16,11 +16,9 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/bits"
 	"repro/internal/errs"
 	"repro/internal/expo"
 	"repro/internal/fpga"
-	"repro/internal/highradix"
 	"repro/internal/kits"
 	"repro/internal/logic"
 	"repro/internal/mmmc"
@@ -60,33 +58,6 @@ func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.va
 // auto-selection deterministic.
 func WithKitTable(t *kits.Table) Option { return func(c *config) { c.table = t } }
 
-// WithSimulation routes every Montgomery product through the
-// cycle-accurate MMM circuit instead of the reference arithmetic.
-//
-// Deprecated: use WithKit(kits.Sim) (montsys.KitSim). Behaviour is
-// identical; this shim remains for existing callers.
-func WithSimulation() Option { return WithKit(kits.Sim) }
-
-// WithVariant selects the array variant for simulation.
-//
-// Deprecated: use WithArrayVariant; same semantics, renamed so that
-// "variant" no longer competes with the kit concept for the question
-// "which execution path am I on?".
-func WithVariant(v systolic.Variant) Option { return WithArrayVariant(v) }
-
-// WithMode selects the exponentiator's execution mode, expo.Model or
-// expo.Simulate.
-//
-// Deprecated: use WithKit — WithKit(kits.Model) for expo.Model,
-// WithKit(kits.Sim) for expo.Simulate. The Mode enum survives on
-// expo.Exponentiator for compatibility but is subsumed by the kit.
-func WithMode(m expo.Mode) Option {
-	if m == expo.Simulate {
-		return WithKit(kits.Sim)
-	}
-	return WithKit(kits.Model)
-}
-
 // resolve maps Auto to a concrete kit for the given op and modulus
 // size, using the pinned table when one was supplied and the
 // process-cached microbenchmark otherwise.
@@ -103,21 +74,18 @@ func (c *config) resolve(op kits.Op, bits int) kits.Kit {
 
 // Multiplier is a Montgomery modular multiplier for one odd modulus.
 //
-// Concurrency: a Model-kit Multiplier only reads its immutable
-// mont.Ctx during Mont, but the Muls/Cycles counters are plain ints, a
-// Sim-kit Multiplier owns a single mutable MMM circuit whose registers
-// are rewritten on every product, and a CIOS-kit Multiplier owns
-// mutable word-slice scratch — so a Multiplier is NOT safe for
-// concurrent use. Give each goroutine its own Multiplier; they may
+// Concurrency: a Multiplier computes through one kits.Core, which may
+// own mutable state (the Sim kit's MMM circuit, whose registers are
+// rewritten on every product; the CIOS kit's word-slice scratch), and
+// its Muls/Cycles counters are plain ints — so a Multiplier is NOT safe
+// for concurrent use. Give each goroutine its own Multiplier; they may
 // share one *mont.Ctx via NewMultiplierFromCtx (a Ctx is immutable and
-// safe to share). This is exactly how internal/engine arranges its
-// worker cores.
+// safe to share). internal/engine arranges its worker cores the same
+// way, one kits.Core per worker over a shared Ctx.
 type Multiplier struct {
-	kit     kits.Kit
-	ctx     *mont.Ctx
-	circuit *mmmc.Circuit
-	nVec    bits.Vec
-	word    *highradix.Word // CIOS kit only
+	kit  kits.Kit
+	ctx  *mont.Ctx
+	core kits.Core
 
 	// Muls counts Montgomery products; Cycles accumulates simulated
 	// clock cycles (Sim kit only).
@@ -148,19 +116,12 @@ func NewMultiplierFromCtx(ctx *mont.Ctx, opts ...Option) (*Multiplier, error) {
 	if !cfg.kit.Valid() {
 		return nil, fmt.Errorf("core: unknown kit %v: %w", cfg.kit, errs.ErrOperandRange)
 	}
-	m := &Multiplier{kit: cfg.resolve(kits.OpMont, ctx.L), ctx: ctx}
-	switch m.kit {
-	case kits.Sim:
-		c, err := mmmc.New(ctx.L, cfg.variant)
-		if err != nil {
-			return nil, err
-		}
-		m.circuit = c
-		m.nVec = bits.FromBig(ctx.N, ctx.L)
-	case kits.CIOS:
-		m.word = highradix.NewWord(ctx)
+	k := cfg.resolve(kits.OpMont, ctx.L)
+	c, err := kits.NewCore(ctx, k, cfg.variant)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &Multiplier{kit: k, ctx: ctx, core: c}, nil
 }
 
 // L returns the modulus bit length.
@@ -180,7 +141,7 @@ func (m *Multiplier) Ctx() *mont.Ctx { return m.ctx }
 func (m *Multiplier) Kit() kits.Kit { return m.kit }
 
 // Simulated reports whether products run through the MMM circuit.
-func (m *Multiplier) Simulated() bool { return m.circuit != nil }
+func (m *Multiplier) Simulated() bool { return m.kit == kits.Sim }
 
 // CyclesPerMont returns the clock cycles one Montgomery product takes on
 // the circuit: 3l + 4.
@@ -195,25 +156,14 @@ func (m *Multiplier) CyclesPerMont() int { return 3*m.ctx.L + 4 }
 // and the Big kit's canonical reduction both legitimately land on the
 // other representative of the same class).
 func (m *Multiplier) Mont(x, y *big.Int) (*big.Int, error) {
-	if x.Sign() < 0 || x.Cmp(m.ctx.N2) >= 0 || y.Sign() < 0 || y.Cmp(m.ctx.N2) >= 0 {
-		return nil, fmt.Errorf("core: Mont operands must be in [0, 2N-1]: %w", errs.ErrOperandRange)
+	before := m.core.Cycles()
+	v, err := m.core.Mont(x, y)
+	if err != nil {
+		return nil, err
 	}
 	m.Muls++
-	switch m.kit {
-	case kits.Sim:
-		l := m.ctx.L
-		res, cycles, err := m.circuit.Run(bits.FromBig(x, l+1), bits.FromBig(y, l+1), m.nVec)
-		if err != nil {
-			return nil, err
-		}
-		m.Cycles += cycles
-		return res.Big(), nil
-	case kits.CIOS:
-		return m.word.Mont(x, y)
-	case kits.Big:
-		return m.ctx.MulClosedForm(x, y), nil
-	}
-	return m.ctx.Mul(x, y), nil
+	m.Cycles += m.core.Cycles() - before
+	return v, nil
 }
 
 // MulMod computes the plain modular product x·y mod N for x, y in
@@ -259,7 +209,7 @@ func NewExponentiator(n *big.Int, opts ...Option) (*expo.Exponentiator, error) {
 	if !cfg.kit.Valid() {
 		return nil, fmt.Errorf("core: unknown kit %v: %w", cfg.kit, errs.ErrOperandRange)
 	}
-	return expo.NewKit(n, cfg.resolve(kits.OpModExp, n.BitLen()), expo.WithVariant(cfg.variant))
+	return expo.NewKit(n, cfg.resolve(kits.OpModExp, n.BitLen()), expo.WithArrayVariant(cfg.variant))
 }
 
 // HardwareReport summarizes the synthesized circuit for a bit length:

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/errs"
-	"repro/internal/expo"
 	"repro/internal/kits"
 	"repro/internal/mont"
 	"repro/internal/systolic"
@@ -145,8 +144,8 @@ func TestNewExponentiator(t *testing.T) {
 			t.Fatalf("%s: exponentiation wrong", tc.name)
 		}
 	}
-	if ex, _ := NewExponentiator(n, WithKit(kits.Sim)); ex.Mode != expo.Simulate {
-		t.Error("WithKit(kits.Sim) did not select Simulate mode")
+	if ex, _ := NewExponentiator(n, WithKit(kits.Sim)); ex.Kit != kits.Sim {
+		t.Error("WithKit(kits.Sim) did not select the Sim kit")
 	}
 	if ex, _ := NewExponentiator(n, WithKit(kits.CIOS)); ex.Kit != kits.CIOS {
 		t.Error("WithKit(kits.CIOS) not threaded through")

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/expo"
 	"repro/internal/highradix"
 	"repro/internal/integrity"
 	"repro/internal/kits"
@@ -92,18 +93,32 @@ func TestCrossKitMontEquivalence(t *testing.T) {
 // TestCrossKitModExpEquivalence: modular exponentiation is R-independent
 // — every kit canonicalizes into [0, N) — so unlike raw products the
 // cross-kit comparison here is exact equality, anchored to math/big.
+// The ladder and fixed-window variants run product by product on the
+// exponentiator's own kit and are held to the same equality, with the
+// same square/multiply decomposition on every kit.
 func TestCrossKitModExpEquivalence(t *testing.T) {
 	cases := []struct {
 		l       int
 		withSim bool
 	}{
+		{64, true},
 		{256, true},
 		{512, false},
 		{1024, false},
 		{2048, false},
 	}
 	if testing.Short() {
-		cases = cases[:2]
+		cases = cases[:3]
+	}
+	type variant struct {
+		name string
+		run  func(ex *expo.Exponentiator, m, e *big.Int) (*big.Int, expo.Report, error)
+	}
+	variants := []variant{
+		{"ladder", (*expo.Exponentiator).ModExpLadder},
+		{"window-4", func(ex *expo.Exponentiator, m, e *big.Int) (*big.Int, expo.Report, error) {
+			return ex.ModExpWindow(m, e, 4)
+		}},
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(0xE4B + tc.l)))
@@ -111,15 +126,23 @@ func TestCrossKitModExpEquivalence(t *testing.T) {
 		base := new(big.Int).Rand(rng, n)
 		exp := big.NewInt(65537) // F4 keeps the sim-kit ladder affordable
 		want := new(big.Int).Exp(base, exp, n)
+		// A dense 24-bit exponent gives the ladder and the window
+		// variants every window value to walk through.
+		vexp := new(big.Int).SetUint64(rng.Uint64()>>40 | 1<<23)
+		vwant := new(big.Int).Exp(base, vexp, n)
 
 		kitSet := []kits.Kit{kits.Model, kits.CIOS, kits.Big}
 		if tc.withSim {
 			kitSet = append(kitSet, kits.Sim)
 		}
+		modelReps := make([]expo.Report, len(variants))
 		for _, k := range kitSet {
 			ex, err := NewExponentiator(n, WithKit(k))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ex.Kit != k {
+				t.Fatalf("l=%d: asked for kit %s, got %s", tc.l, k, ex.Kit)
 			}
 			got, rep, err := ex.ModExp(base, exp)
 			if err != nil {
@@ -131,6 +154,26 @@ func TestCrossKitModExpEquivalence(t *testing.T) {
 			if rep.Squares != exp.BitLen()-1 || rep.Multiplies != 1 {
 				t.Errorf("l=%d kit=%s: ladder report %d squares / %d multiplies for F4",
 					tc.l, k, rep.Squares, rep.Multiplies)
+			}
+			for i, v := range variants {
+				got, rep, err := v.run(ex, base, vexp)
+				if err != nil {
+					t.Fatalf("l=%d kit=%s %s: %v", tc.l, k, v.name, err)
+				}
+				if got.Cmp(vwant) != 0 {
+					t.Fatalf("l=%d kit=%s %s: disagrees with math/big", tc.l, k, v.name)
+				}
+				if k == kits.Model {
+					modelReps[i] = rep
+				} else if m := modelReps[i]; rep.Squares != m.Squares || rep.Multiplies != m.Multiplies ||
+					rep.TotalCycles != m.TotalCycles {
+					t.Errorf("l=%d kit=%s %s: report %d sq / %d mul / %d cycles, Model kit %d / %d / %d",
+						tc.l, k, v.name, rep.Squares, rep.Multiplies, rep.TotalCycles,
+						m.Squares, m.Multiplies, m.TotalCycles)
+				}
+				if (rep.SimulatedMulCycles > 0) != (k == kits.Sim) {
+					t.Errorf("l=%d kit=%s %s: %d simulated cycles", tc.l, k, v.name, rep.SimulatedMulCycles)
+				}
 			}
 		}
 	}

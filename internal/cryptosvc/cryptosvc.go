@@ -492,7 +492,7 @@ func deriveNonce(order *big.Int, seed int64, attempt int, d, digest *big.Int) *b
 	qBits := order.BitLen()
 	qBytes := (qBits + 7) / 8
 	for ctr := uint64(0); ; ctr++ {
-		// Expand: counter-mode HMAC keystream of ≥ qBytes per candidate.
+		// Expand: an HMAC keystream (counter mode) of ≥ qBytes per candidate.
 		stream := make([]byte, 0, qBytes+sha256.Size)
 		for block := uint64(0); len(stream) < qBytes; block++ {
 			m := hmac.New(sha256.New, prk)

@@ -28,7 +28,7 @@ func benchJobs(l, count int) (*big.Int, []ModExpJob) {
 	return n, jobs
 }
 
-// BenchmarkEngineModExp measures batch throughput of reference-mode
+// BenchmarkEngineModExp measures batch throughput of Model-kit
 // 512-bit exponentiations across worker counts. On multi-core hardware
 // throughput scales near-linearly up to GOMAXPROCS because jobs share
 // nothing but the immutable modulus context; compare w=1 against
@@ -59,7 +59,7 @@ func BenchmarkEngineModExp(b *testing.B) {
 }
 
 // BenchmarkEngineModExpObserved measures the observability overhead on
-// the model-mode hot path: the same 512-bit workload with no observer,
+// the Model-kit hot path: the same 512-bit workload with no observer,
 // with the full obs.Collector (metrics only), and with metrics +
 // tracing. The instrumentation is a handful of atomic adds per job
 // against a ~ms modular exponentiation, so the on/off delta must stay
@@ -134,7 +134,7 @@ func BenchmarkEngineModExpSampled(b *testing.B) {
 }
 
 // BenchmarkEngineIntegrity measures the clean-path cost of the
-// integrity net on the model-mode modexp hot path: checking off,
+// integrity net on the Model-kit modexp hot path: checking off,
 // sampled at 10%, and every job fully re-verified. The re-check is one
 // math/big Exp — word-level Montgomery arithmetic, an order of
 // magnitude faster than the bit-serial Model path it guards — so even
@@ -214,7 +214,7 @@ func BenchmarkKitModExp(b *testing.B) {
 // engine's scaling is judged against.
 func BenchmarkSequentialModExp(b *testing.B) {
 	n, jobs := benchJobs(512, b.N)
-	ex, err := expo.New(n, expo.Model)
+	ex, err := expo.NewKit(n, kits.Model)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -96,23 +96,6 @@ func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.va
 // to make per-job selection deterministic.
 func WithKitTable(t *kits.Table) Option { return func(c *config) { c.table = t } }
 
-// WithMode selects how cores execute multiplications.
-//
-// Deprecated: use WithKit — WithKit(kits.Model) for expo.Model,
-// WithKit(kits.Sim) for expo.Simulate. Behaviour is identical.
-func WithMode(m expo.Mode) Option {
-	if m == expo.Simulate {
-		return WithKit(kits.Sim)
-	}
-	return WithKit(kits.Model)
-}
-
-// WithVariant selects the array variant simulated cores use.
-//
-// Deprecated: use WithArrayVariant (same semantics, renamed alongside
-// the kit API).
-func WithVariant(v systolic.Variant) Option { return WithArrayVariant(v) }
-
 // WithCtxCacheSize bounds the per-modulus context LRU (default 128).
 func WithCtxCacheSize(n int) Option { return func(c *config) { c.cacheSize = n } }
 
@@ -311,15 +294,6 @@ func (e *Engine) Workers() int { return e.cfg.workers }
 // Kit returns the configured compute kit (possibly kits.Auto, in which
 // case the concrete kit varies per job).
 func (e *Engine) Kit() kits.Kit { return e.cfg.kit }
-
-// Mode returns the execution mode the cores run in, for callers of the
-// pre-kit API: expo.Simulate iff the engine runs the Sim kit.
-func (e *Engine) Mode() expo.Mode {
-	if e.cfg.kit == kits.Sim {
-		return expo.Simulate
-	}
-	return expo.Model
-}
 
 // Close stops accepting work, waits for queued and in-flight jobs to
 // finish, and shuts the workers down. Closing twice returns

@@ -97,7 +97,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 			// One sequential exponentiator per modulus, same kit/variant.
 			seq := make(map[string]*expo.Exponentiator, tc.moduli)
 			for _, n := range moduli {
-				ex, err := expo.NewKit(n, tc.kit, expo.WithVariant(tc.variant))
+				ex, err := expo.NewKit(n, tc.kit, expo.WithArrayVariant(tc.variant))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -174,7 +174,7 @@ func TestMontBatchMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := expo.New(n, expo.Model)
+	ref, err := expo.NewKit(n, kits.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func (w *worker) probe() (ok bool) {
 	if err != nil {
 		return false
 	}
-	me, err := w.multiplierIn(w.kit, katModulus, w.kitFor(kindMont, katModulus))
+	ce, err := w.coreIn(w.kit, katModulus, w.kitFor(kindMont, katModulus))
 	if err != nil {
 		return false
 	}
@@ -131,7 +131,7 @@ func (w *worker) probe() (ok bool) {
 	for i := 0; i < katProbeOps; i++ {
 		x.Add(x, step).Mod(x, ctx.N2)
 		y.Add(y, step).Mod(y, ctx.N2)
-		v, err := me.m.Mont(x, y)
+		v, err := ce.mul.Mont(x, y)
 		if err != nil || integrity.CheckMont(ctx, x, y, v) != nil {
 			return false
 		}

@@ -25,8 +25,8 @@ type counters struct {
 	sheds          atomic.Int64 // queued jobs evicted lowest-class-first
 
 	muls        atomic.Int64 // Montgomery products executed
-	modelCycles atomic.Int64 // paper-formula cycles (Model-mode reports)
-	simCycles   atomic.Int64 // measured MMMC cycles (Simulate mode)
+	modelCycles atomic.Int64 // paper-formula cycles (§4.5 report model)
+	simCycles   atomic.Int64 // measured MMMC cycles (Sim kit)
 
 	// kitJobs counts completed jobs per concrete compute kit — under
 	// kits.Auto this is where the selector's choices become visible.

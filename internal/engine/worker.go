@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/expo"
 	"repro/internal/faults"
@@ -27,34 +26,36 @@ type multiplier interface {
 	Mont(x, y *big.Int) (*big.Int, error)
 }
 
-// mulEntry pairs the possibly-wrapped multiplier a worker computes
-// through with the raw core underneath; the raw pointer (nil for test
-// fakes) feeds the simulated-cycle accounting via its Cycles counter.
-type mulEntry struct {
-	m   multiplier
-	raw *core.Multiplier
+// coreEntry is one (kit, modulus) compute core and the two job shapes
+// over it: the exponentiator computes through the core, and the core
+// itself answers Mont jobs. Each shape may be replaced by a test
+// factory and wrapped by the fault injector; core stays the unwrapped
+// kit, whose Cycles feed the simulated-cycle accounting.
+type coreEntry struct {
+	core kits.Core
+	ex   exponentiator
+	mul  multiplier
 }
 
-// kit is a worker's disposable compute state: its circuit caches, its
+// kit is a worker's disposable compute state: its core cache, its
 // fault-injection handle and its integrity sampler. It exists as one
 // swappable unit for two reasons. Quarantine replaces the kit so a
 // core suspected of corruption restarts from fresh circuits — the
 // software analogue of resetting the cell array. And the watchdog
 // replaces it when it abandons a stuck job: the timed-out goroutine
-// keeps exclusive ownership of the old kit (maps, circuits, rand
+// keeps exclusive ownership of the old kit (map, circuits, rand
 // streams are all single-owner), so worker and stray never share
 // mutable state.
 type kit struct {
-	exps    map[string]exponentiator
-	muls    map[string]*mulEntry
+	cores   map[string]coreEntry
 	fcore   *faults.Core
 	sampler *integrity.Sampler
 }
 
 // worker is one engine core. It owns its kit outright — simulated
-// circuits are mutable and must never be shared (core.Multiplier's
-// concurrency contract) — while the mont.Ctx inside comes from the
-// engine-wide LRU, shared safely because a Ctx is immutable.
+// circuits and word scratch are mutable and must never be shared
+// (kits.Core's concurrency contract) — while the mont.Ctx inside comes
+// from the engine-wide LRU, shared safely because a Ctx is immutable.
 // Per-worker caches avoid rebuilding circuits for repeated moduli;
 // they are bounded and simply reset when full, which is cheap and
 // keeps the common steady-state (few hot moduli) fully cached.
@@ -68,7 +69,7 @@ type worker struct {
 	rng        *rand.Rand // backoff jitter, deterministic per worker
 }
 
-// maxLocal bounds each worker's circuit caches.
+// maxLocal bounds each worker's core cache.
 const maxLocal = 32
 
 // maxRedo bounds integrity-driven requeues per job before the worker
@@ -86,10 +87,7 @@ func newWorker(e *Engine, id int) *worker {
 }
 
 func (w *worker) newKit() *kit {
-	k := &kit{
-		exps: make(map[string]exponentiator),
-		muls: make(map[string]*mulEntry),
-	}
+	k := &kit{cores: make(map[string]coreEntry)}
 	if in := w.eng.cfg.injector; in != nil {
 		k.fcore = in.Core(w.id)
 	}
@@ -353,13 +351,13 @@ func (w *worker) compute(j *job, k *kit) (res jobResult) {
 		}
 	}()
 	kt := w.kitFor(j.kind, j.n)
+	ce, err := w.coreIn(k, j.n, kt)
+	if err != nil {
+		return jobResult{err: err}
+	}
 	switch j.kind {
 	case kindModExp:
-		ex, err := w.exponentiatorIn(k, j.n, kt)
-		if err != nil {
-			return jobResult{err: err}
-		}
-		v, rep, err := ex.ModExp(j.a, j.b)
+		v, rep, err := ce.ex.ModExp(j.a, j.b)
 		if err != nil {
 			return jobResult{err: err}
 		}
@@ -370,23 +368,15 @@ func (w *worker) compute(j *job, k *kit) (res jobResult) {
 			simCycles:   int64(rep.SimulatedMulCycles),
 		}}
 	default: // kindMont
-		me, err := w.multiplierIn(k, j.n, kt)
+		before := ce.core.Cycles()
+		v, err := ce.mul.Mont(j.a, j.b)
 		if err != nil {
 			return jobResult{err: err}
 		}
-		var before int
-		if me.raw != nil {
-			before = me.raw.Cycles
-		}
-		v, err := me.m.Mont(j.a, j.b)
-		if err != nil {
-			return jobResult{err: err}
-		}
-		wk := work{muls: 1}
-		if me.raw != nil {
-			wk.simCycles = int64(me.raw.Cycles - before)
-		}
-		return jobResult{v: v, kt: kt, wk: wk}
+		return jobResult{v: v, kt: kt, wk: work{
+			muls:      1,
+			simCycles: int64(ce.core.Cycles() - before),
+		}}
 	}
 }
 
@@ -448,7 +438,7 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 		}
 		return jobResult{v: v, kt: kits.Model, wk: work{muls: 1}}
 	case kindModExp:
-		ex, err := expo.NewFromCtx(ctx, expo.Model)
+		ex, err := expo.NewKitFromCtx(ctx, kits.Model)
 		if err != nil {
 			return jobResult{err: err}
 		}
@@ -467,76 +457,49 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 	return failed
 }
 
-// cacheKey keys the worker-local core caches by (kit, modulus): under
+// cacheKey keys the worker-local core cache by (kit, modulus): under
 // kits.Auto the same modulus can legitimately need cores on different
 // kits for different op shapes.
 func cacheKey(kt kits.Kit, n *big.Int) string {
 	return string(byte(kt)) + string(n.Bytes())
 }
 
-// exponentiatorIn returns the kit's exclusive exponentiator for
-// modulus n on compute kit kt, building it over the shared LRU-cached
-// context on first use and wrapping it with the fault injector when
-// one is configured.
-func (w *worker) exponentiatorIn(k *kit, n *big.Int, kt kits.Kit) (exponentiator, error) {
+// coreIn returns the kit's exclusive core for modulus n on compute kit
+// kt, building it over the shared LRU-cached context on first use —
+// one core backing both job shapes, and no other object than the
+// exponentiator over it — and wrapping each shape with the fault
+// injector when one is configured.
+func (w *worker) coreIn(k *kit, n *big.Int, kt kits.Kit) (coreEntry, error) {
 	key := cacheKey(kt, n)
-	if ex, ok := k.exps[key]; ok {
-		return ex, nil
+	if ce, ok := k.cores[key]; ok {
+		return ce, nil
 	}
 	ctx, err := w.eng.cache.get(n)
 	if err != nil {
-		return nil, err
+		return coreEntry{}, err
 	}
-	var ex exponentiator
-	if f := w.eng.cfg.expFactory; f != nil {
-		ex, err = f(w.id, ctx)
-	} else {
-		ex, err = expo.NewKitFromCtx(ctx, kt, expo.WithVariant(w.eng.cfg.variant))
-	}
+	c, err := kits.NewCore(ctx, kt, w.eng.cfg.variant)
 	if err != nil {
-		return nil, err
+		return coreEntry{}, err
 	}
-	if k.fcore != nil {
-		ex = k.fcore.WrapExponentiator(ex, ctx.L)
-	}
-	if len(k.exps) >= maxLocal {
-		k.exps = make(map[string]exponentiator)
-	}
-	k.exps[key] = ex
-	return ex, nil
-}
-
-// multiplierIn is exponentiatorIn's twin for raw Montgomery products.
-func (w *worker) multiplierIn(k *kit, n *big.Int, kt kits.Kit) (*mulEntry, error) {
-	key := cacheKey(kt, n)
-	if me, ok := k.muls[key]; ok {
-		return me, nil
-	}
-	ctx, err := w.eng.cache.get(n)
-	if err != nil {
-		return nil, err
-	}
-	entry := &mulEntry{}
+	ce := coreEntry{core: c, ex: expo.NewFromCore(ctx, kt, c), mul: c}
 	if f := w.eng.cfg.mulFactory; f != nil {
-		entry.m, err = f(w.id, ctx)
-		if err != nil {
-			return nil, err
+		if ce.mul, err = f(w.id, ctx); err != nil {
+			return coreEntry{}, err
 		}
-	} else {
-		raw, err := core.NewMultiplierFromCtx(ctx,
-			core.WithKit(kt), core.WithArrayVariant(w.eng.cfg.variant))
-		if err != nil {
-			return nil, err
+	}
+	if f := w.eng.cfg.expFactory; f != nil {
+		if ce.ex, err = f(w.id, ctx); err != nil {
+			return coreEntry{}, err
 		}
-		entry.raw = raw
-		entry.m = raw
 	}
 	if k.fcore != nil {
-		entry.m = k.fcore.WrapMultiplier(entry.m, ctx.L+1)
+		ce.ex = k.fcore.WrapExponentiator(ce.ex, ctx.L)
+		ce.mul = k.fcore.WrapMultiplier(ce.mul, ctx.L+1)
 	}
-	if len(k.muls) >= maxLocal {
-		k.muls = make(map[string]*mulEntry)
+	if len(k.cores) >= maxLocal {
+		k.cores = make(map[string]coreEntry)
 	}
-	k.muls[key] = entry
-	return entry, nil
+	k.cores[key] = ce
+	return ce, nil
 }

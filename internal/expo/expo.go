@@ -1,7 +1,7 @@
 // Package expo implements the paper's modular exponentiator (§4.5):
 // left-to-right square-and-multiply (Algorithm 3) where every
-// multiplication is a Montgomery multiplication through the MMM circuit,
-// with the paper's exact cycle accounting —
+// multiplication is a Montgomery multiplication, with the paper's exact
+// cycle accounting —
 //
 //	pre-processing  (M·R² and the R² constant)   5l + 10 cycles
 //	each square or multiply                       3l + 4  cycles
@@ -9,13 +9,13 @@
 //
 // giving Eq. (10):  3l² + 10l + 12 ≤ T_modexp ≤ 6l² + 14l + 12.
 //
-// Two execution modes are provided. Simulate pushes every multiplication
-// through the cycle-accurate MMMC (internal/mmmc) — the ground truth, at
-// simulation cost O(l²) per multiplication. Model computes the same
-// values with the reference arithmetic (internal/mont) while accounting
-// cycles with the paper's formulas; conformance tests pin the two modes
-// to identical results and identical square/multiply counts, so Model is
-// safe for the large bit lengths of Tables 1 and 2.
+// The multiplications run on one compute kit (internal/kits): Sim
+// pushes every product through the cycle-accurate MMMC (internal/mmmc)
+// — the ground truth, at simulation cost O(l²) per product — while
+// Model, CIOS and Big compute the same values at host speed. The Report
+// keeps the paper's accounting on every kit; conformance tests pin the
+// kits to identical results and identical square/multiply counts, so
+// the fast kits are safe for the large bit lengths of Tables 1 and 2.
 package expo
 
 import (
@@ -23,38 +23,11 @@ import (
 	"math/big"
 	mathbits "math/bits"
 
-	"repro/internal/bits"
 	"repro/internal/errs"
-	"repro/internal/highradix"
 	"repro/internal/kits"
-	"repro/internal/mmmc"
 	"repro/internal/mont"
 	"repro/internal/systolic"
 )
-
-// Mode selects how multiplications are executed.
-type Mode int
-
-const (
-	// Model computes with reference arithmetic and accounts cycles by
-	// the paper's formulas.
-	Model Mode = iota
-	// Simulate pushes every multiplication through the cycle-accurate
-	// MMM circuit.
-	Simulate
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case Model:
-		return "model"
-	case Simulate:
-		return "simulate"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // Report describes one modular exponentiation's decomposition and cycle
 // cost.
@@ -70,7 +43,7 @@ type Report struct {
 	TotalCycles int // sum of the above
 
 	// SimulatedMulCycles counts the MUL1/MUL2 clock cycles actually
-	// spent inside the simulated MMMC (Simulate mode only; 0 for Model).
+	// spent inside the simulated MMMC (Sim kit only; 0 on the others).
 	// Each multiplication measures exactly 3l+4, so this equals
 	// (Squares+Multiplies+2)·(3l+4) — the +2 being the explicit pre- and
 	// post-multiplications.
@@ -93,52 +66,25 @@ func PaperAverageCycles(l int) float64 {
 
 // Exponentiator computes modular exponentiations over one modulus.
 type Exponentiator struct {
-	L    int
-	Mode Mode     // retained for compatibility: Simulate iff Kit == kits.Sim
-	Kit  kits.Kit // the concrete compute kit executing multiplications
+	L   int
+	Kit kits.Kit // the concrete compute kit executing multiplications
 
-	ctx     *mont.Ctx
-	circuit *mmmc.Circuit
-	nVec    bits.Vec
-	word    *highradix.Word // CIOS kit only
+	ctx  *mont.Ctx
+	core kits.Core
 }
 
-// Option configures an Exponentiator beyond its mode.
+// Option configures an Exponentiator beyond its kit.
 type Option func(*config)
 
 type config struct {
 	variant systolic.Variant
 }
 
-// WithVariant selects the array variant used in Simulate mode. The
+// WithArrayVariant selects the array variant used by the Sim kit. The
 // default is Guarded, whose correctness holds for every chained operand
 // (see internal/systolic); the paper's cycle counts are unaffected by
 // the guard.
-func WithVariant(v systolic.Variant) Option { return func(c *config) { c.variant = v } }
-
-// New builds an exponentiator for the odd modulus n.
-func New(n *big.Int, mode Mode, opts ...Option) (*Exponentiator, error) {
-	ctx, err := mont.NewCtx(n)
-	if err != nil {
-		return nil, err
-	}
-	return NewFromCtx(ctx, mode, opts...)
-}
-
-// NewFromCtx builds an exponentiator over an existing Montgomery
-// context, skipping the per-modulus precomputation. The Ctx is
-// immutable and may be shared freely; the Exponentiator itself (whose
-// Simulate-mode circuit and CIOS-kit scratch are mutable state) must
-// stay confined to one goroutine. internal/engine uses this to share
-// LRU-cached contexts across worker cores while giving each core an
-// exclusive circuit.
-func NewFromCtx(ctx *mont.Ctx, mode Mode, opts ...Option) (*Exponentiator, error) {
-	k := kits.Model
-	if mode == Simulate {
-		k = kits.Sim
-	}
-	return NewKitFromCtx(ctx, k, opts...)
-}
+func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.variant = v } }
 
 // NewKit builds an exponentiator on the given compute kit for the odd
 // modulus n.
@@ -151,139 +97,86 @@ func NewKit(n *big.Int, k kits.Kit, opts ...Option) (*Exponentiator, error) {
 }
 
 // NewKitFromCtx builds an exponentiator on the given compute kit over an
-// existing context. The kit must be concrete: callers wanting Auto
-// resolve it first (internal/core and internal/engine do this through
+// existing context, skipping the per-modulus precomputation. The Ctx is
+// immutable and may be shared freely; the Exponentiator itself (whose
+// Sim circuit and CIOS scratch are mutable state) must stay confined to
+// one goroutine. The kit must be concrete: callers wanting Auto resolve
+// it first (internal/core and internal/engine do this through
 // kits.ProcessTable / their pinned table).
 func NewKitFromCtx(ctx *mont.Ctx, k kits.Kit, opts ...Option) (*Exponentiator, error) {
-	if k == kits.Auto || !k.Valid() {
-		return nil, fmt.Errorf("expo: kit %v is not a concrete compute kit: %w", k, errs.ErrOperandRange)
-	}
 	cfg := config{variant: systolic.Guarded}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	mode := Model
-	if k == kits.Sim {
-		mode = Simulate
+	c, err := kits.NewCore(ctx, k, cfg.variant)
+	if err != nil {
+		return nil, err
 	}
-	e := &Exponentiator{L: ctx.L, Mode: mode, Kit: k, ctx: ctx}
-	switch k {
-	case kits.Sim:
-		c, err := mmmc.New(ctx.L, cfg.variant)
-		if err != nil {
-			return nil, err
-		}
-		e.circuit = c
-		e.nVec = bits.FromBig(ctx.N, ctx.L)
-	case kits.CIOS:
-		e.word = highradix.NewWord(ctx)
-	}
-	return e, nil
+	return NewFromCore(ctx, k, c), nil
+}
+
+// NewFromCore builds an exponentiator over an existing core c of kit k
+// for ctx's modulus. The exponentiator computes through c, so it shares
+// c's goroutine confinement; the engine's workers use this to answer
+// both job shapes of one (kit, modulus) with one core.
+func NewFromCore(ctx *mont.Ctx, k kits.Kit, c kits.Core) *Exponentiator {
+	return &Exponentiator{L: ctx.L, Kit: k, ctx: ctx, core: c}
 }
 
 // Ctx exposes the Montgomery context (for benchmarks and applications).
 func (e *Exponentiator) Ctx() *mont.Ctx { return e.ctx }
 
-// mulSim runs Mont(x, y) through the simulated circuit, accumulating the
-// measured cycle count into the report.
-func (e *Exponentiator) mulSim(x, y *big.Int, rep *Report) (*big.Int, error) {
-	xv := bits.FromBig(x, e.L+1)
-	yv := bits.FromBig(y, e.L+1)
-	res, cycles, err := e.circuit.Run(xv, yv, e.nVec)
-	if err != nil {
-		return nil, err
-	}
-	rep.SimulatedMulCycles += cycles
-	return res.Big(), nil
-}
-
-// ModExp computes m^exp mod N via Algorithm 3 over the MMMC. m must lie
-// in [0, N-1]; exp must be positive.
-func (e *Exponentiator) ModExp(m, exp *big.Int) (*big.Int, Report, error) {
-	rep := Report{L: e.L}
+// check validates ModExp-style arguments: a positive exponent and a
+// base in [0, N-1].
+func (e *Exponentiator) check(m, exp *big.Int) error {
 	if exp.Sign() <= 0 {
-		return nil, rep, fmt.Errorf("expo: exponent must be positive: %w", errs.ErrOperandRange)
+		return fmt.Errorf("expo: exponent must be positive: %w", errs.ErrOperandRange)
 	}
 	if m.Sign() < 0 || m.Cmp(e.ctx.N) >= 0 {
-		return nil, rep, fmt.Errorf("expo: base must be in [0, N-1]: %w", errs.ErrOperandRange)
+		return fmt.Errorf("expo: base must be in [0, N-1]: %w", errs.ErrOperandRange)
 	}
+	return nil
+}
 
-	// The fast kits run Algorithm 3 internally (CIOS: word-domain
-	// ladder; Big: math/big's own windowed exponentiation). The Report
-	// keeps the paper's accounting — squares and multiplies are a
-	// function of the exponent alone for the binary ladder, so the
-	// decomposition and cycle model stay identical across kits.
-	switch e.Kit {
-	case kits.CIOS:
-		a, err := e.word.ModExp(m, exp)
-		if err != nil {
-			return nil, rep, err
-		}
-		e.fillLadderReport(&rep, exp)
-		return a, rep, nil
-	case kits.Big:
-		a := new(big.Int).Exp(m, exp, e.ctx.N)
-		e.fillLadderReport(&rep, exp)
-		return a, rep, nil
+// ModExp computes m^exp mod N via Algorithm 3 on the exponentiator's
+// kit. m must lie in [0, N-1]; exp must be positive.
+//
+// Each kit runs the ladder its own way (Model and Sim: Algorithm 3
+// product by product; CIOS: in the word domain; Big: math/big's own
+// windowed exponentiation). The Report keeps the paper's accounting
+// either way: the binary ladder's squares and multiplies are a function
+// of the exponent alone (one square per bit below the MSB, one multiply
+// per set bit below the MSB), so the decomposition and cycle model are
+// identical across kits.
+func (e *Exponentiator) ModExp(m, exp *big.Int) (*big.Int, Report, error) {
+	rep := Report{L: e.L}
+	if err := e.check(m, exp); err != nil {
+		return nil, rep, err
 	}
-
-	mul := func(x, y *big.Int) (*big.Int, error) {
-		if e.Mode == Simulate {
-			return e.mulSim(x, y, &rep)
-		}
-		return e.ctx.Mul(x, y), nil
-	}
-
-	// Pre-processing: A = Mont(M, R² mod N) = M·R mod 2N.
-	a, err := mul(m, e.ctx.RR)
+	before := e.core.Cycles()
+	a, err := e.core.ModExp(m, exp)
 	if err != nil {
 		return nil, rep, err
 	}
-	mr := new(big.Int).Set(a)
-
-	for i := exp.BitLen() - 2; i >= 0; i-- {
-		if a, err = mul(a, a); err != nil {
-			return nil, rep, err
-		}
-		rep.Squares++
-		if exp.Bit(i) == 1 {
-			if a, err = mul(a, mr); err != nil {
-				return nil, rep, err
-			}
-			rep.Multiplies++
-		}
-	}
-
-	// Post-processing: Mont(A, 1) strips the R factor.
-	if a, err = mul(a, big.NewInt(1)); err != nil {
-		return nil, rep, err
-	}
-	if a.Cmp(e.ctx.N) >= 0 {
-		a.Sub(a, e.ctx.N)
-	}
-
-	l := e.L
-	rep.PreCycles = 5*l + 10
-	rep.MulCycles = (rep.Squares + rep.Multiplies) * (3*l + 4)
-	rep.PostCycles = l + 2
-	rep.TotalCycles = rep.PreCycles + rep.MulCycles + rep.PostCycles
-	return a, rep, nil
-}
-
-// fillLadderReport fills the Report for a kit that ran the ladder
-// internally: the binary square-and-multiply decomposition is a pure
-// function of the exponent (one square per bit below the MSB, one
-// multiply per set bit below the MSB), and the cycle model is §4.5's.
-func (e *Exponentiator) fillLadderReport(rep *Report, exp *big.Int) {
-	rep.Squares = exp.BitLen() - 1
 	pop := 0
 	for _, w := range exp.Bits() {
 		pop += mathbits.OnesCount(uint(w))
 	}
+	rep.Squares = exp.BitLen() - 1
 	rep.Multiplies = pop - 1
-	l := e.L
-	rep.PreCycles = 5*l + 10
-	rep.MulCycles = (rep.Squares + rep.Multiplies) * (3*l + 4)
-	rep.PostCycles = l + 2
-	rep.TotalCycles = rep.PreCycles + rep.MulCycles + rep.PostCycles
+	rep.SimulatedMulCycles = e.core.Cycles() - before
+	rep.account(0)
+	return a, rep, nil
+}
+
+// account fills the §4.5 cycle model from the square and multiply
+// counts: pre-processing (plus tableMuls further pre-products at 3l+4
+// each, for methods that precompute powers), 3l+4 per square or
+// multiply, and post-processing.
+func (r *Report) account(tableMuls int) {
+	l := r.L
+	r.PreCycles = 5*l + 10 + tableMuls*(3*l+4)
+	r.MulCycles = (r.Squares + r.Multiplies) * (3*l + 4)
+	r.PostCycles = l + 2
+	r.TotalCycles = r.PreCycles + r.MulCycles + r.PostCycles
 }

@@ -13,8 +13,9 @@ import (
 // level, Algorithm 3 still performs a multiplication only for 1-bits.
 // The Montgomery powering ladder closes that gap (uniform
 // square-and-multiply sequence per bit); the fixed-window method is the
-// standard throughput improvement. Both run over the same Montgomery
-// core and the same cycle accounting.
+// standard throughput improvement. Both run on the exponentiator's own
+// kit, product by product through its Mont, with the same cycle
+// accounting.
 
 // ModExpLadder computes m^exp mod N with the Montgomery powering ladder:
 // exactly one multiplication and one squaring per exponent bit,
@@ -23,18 +24,11 @@ import (
 // 2·(bits-1) multiplications.
 func (e *Exponentiator) ModExpLadder(m, exp *big.Int) (*big.Int, Report, error) {
 	rep := Report{L: e.L}
-	if exp.Sign() <= 0 {
-		return nil, rep, fmt.Errorf("expo: exponent must be positive: %w", errs.ErrOperandRange)
+	if err := e.check(m, exp); err != nil {
+		return nil, rep, err
 	}
-	if m.Sign() < 0 || m.Cmp(e.ctx.N) >= 0 {
-		return nil, rep, fmt.Errorf("expo: base must be in [0, N-1]: %w", errs.ErrOperandRange)
-	}
-	mul := func(x, y *big.Int) (*big.Int, error) {
-		if e.Mode == Simulate {
-			return e.mulSim(x, y, &rep)
-		}
-		return e.ctx.Mul(x, y), nil
-	}
+	mul := e.core.Mont
+	before := e.core.Cycles()
 
 	// R0 = R mod 2N (the Montgomery representation of 1),
 	// R1 = mR mod 2N.
@@ -72,11 +66,8 @@ func (e *Exponentiator) ModExpLadder(m, exp *big.Int) (*big.Int, Report, error) 
 	if out.Cmp(e.ctx.N) >= 0 {
 		out.Sub(out, e.ctx.N)
 	}
-	l := e.L
-	rep.PreCycles = 5*l + 10
-	rep.MulCycles = (rep.Squares + rep.Multiplies) * (3*l + 4)
-	rep.PostCycles = l + 2
-	rep.TotalCycles = rep.PreCycles + rep.MulCycles + rep.PostCycles
+	rep.SimulatedMulCycles = e.core.Cycles() - before
+	rep.account(0)
 	return out, rep, nil
 }
 
@@ -90,18 +81,11 @@ func (e *Exponentiator) ModExpWindow(m, exp *big.Int, w int) (*big.Int, Report, 
 	if w < 1 || w > 16 {
 		return nil, rep, fmt.Errorf("expo: window width must be in [1, 16]: %w", errs.ErrOperandRange)
 	}
-	if exp.Sign() <= 0 {
-		return nil, rep, fmt.Errorf("expo: exponent must be positive: %w", errs.ErrOperandRange)
+	if err := e.check(m, exp); err != nil {
+		return nil, rep, err
 	}
-	if m.Sign() < 0 || m.Cmp(e.ctx.N) >= 0 {
-		return nil, rep, fmt.Errorf("expo: base must be in [0, N-1]: %w", errs.ErrOperandRange)
-	}
-	mul := func(x, y *big.Int) (*big.Int, error) {
-		if e.Mode == Simulate {
-			return e.mulSim(x, y, &rep)
-		}
-		return e.ctx.Mul(x, y), nil
-	}
+	mul := e.core.Mont
+	before := e.core.Cycles()
 
 	// Table: t[0] = R mod 2N (Montgomery 1), t[k] = m^k·R mod 2N.
 	size := 1 << w
@@ -165,10 +149,7 @@ func (e *Exponentiator) ModExpWindow(m, exp *big.Int, w int) (*big.Int, Report, 
 	if out.Cmp(e.ctx.N) >= 0 {
 		out.Sub(out, e.ctx.N)
 	}
-	l := e.L
-	rep.PreCycles = 5*l + 10 + (tableMuls-1)*(3*l+4) // table build beyond the base pre-mul
-	rep.MulCycles = (rep.Squares + rep.Multiplies) * (3*l + 4)
-	rep.PostCycles = l + 2
-	rep.TotalCycles = rep.PreCycles + rep.MulCycles + rep.PostCycles
+	rep.SimulatedMulCycles = e.core.Cycles() - before
+	rep.account(tableMuls - 1) // table build beyond the base pre-mul
 	return out, rep, nil
 }

@@ -4,6 +4,10 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"repro/internal/kits"
+	"repro/internal/mont"
+	"repro/internal/systolic"
 )
 
 // The ladder must agree with math/big and perform exactly one square
@@ -12,7 +16,7 @@ func TestLadderMatchesBigAndUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(181))
 	for _, l := range []int{8, 32, 128, 512} {
 		n := randOdd(rng, l)
-		e, err := New(n, Model)
+		e, err := NewKit(n, kits.Model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +46,7 @@ func TestLadderMatchesBigAndUniform(t *testing.T) {
 func TestLadderSequenceIndependentOfBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(182))
 	n := randOdd(rng, 64)
-	e, _ := New(n, Model)
+	e, _ := NewKit(n, kits.Model)
 	m := new(big.Int).Rand(rng, n)
 
 	allOnes := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 60), big.NewInt(1))
@@ -71,7 +75,7 @@ func TestLadderSequenceIndependentOfBits(t *testing.T) {
 func TestLadderSimulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(183))
 	n := randOdd(rng, 16)
-	e, err := New(n, Simulate)
+	e, err := NewKit(n, kits.Sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +93,59 @@ func TestLadderSimulated(t *testing.T) {
 	}
 }
 
+// countingCore counts the Montgomery products that reach a kit.
+type countingCore struct {
+	kits.Core
+	monts int
+}
+
+func (c *countingCore) Mont(x, y *big.Int) (*big.Int, error) {
+	c.monts++
+	return c.Core.Mont(x, y)
+}
+
+// The ladder and the window run every product on the exponentiator's
+// own core, whatever its kit: the pre-product, each square and
+// multiply, the window table and the post-product all reach it.
+func TestVariantsRunOnOwnCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(186))
+	n := randOdd(rng, 130)
+	ctx, err := mont.NewCtx(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := new(big.Int).Rand(rng, n)
+	x := big.NewInt(0xb3c5)
+	want := new(big.Int).Exp(m, x, n)
+	const w = 3
+	for _, k := range []kits.Kit{kits.Model, kits.CIOS, kits.Big} {
+		inner, err := kits.NewCore(ctx, k, systolic.Guarded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &countingCore{Core: inner}
+		e := NewFromCore(ctx, k, c)
+		got, rep, err := e.ModExpLadder(m, x)
+		if err != nil || got.Cmp(want) != 0 {
+			t.Fatalf("kit=%s ladder: got %v, %v", k, got, err)
+		}
+		if wantMonts := rep.Squares + rep.Multiplies + 2; c.monts != wantMonts {
+			t.Errorf("kit=%s ladder: %d products on the core, want %d", k, c.monts, wantMonts)
+		}
+		c.monts = 0
+		got, rep, err = e.ModExpWindow(m, x, w)
+		if err != nil || got.Cmp(want) != 0 {
+			t.Fatalf("kit=%s window: got %v, %v", k, got, err)
+		}
+		// Table entries 2 … 2^w−1 cost one product each.
+		if wantMonts := rep.Squares + rep.Multiplies + 2 + (1<<w - 2); c.monts != wantMonts {
+			t.Errorf("kit=%s window: %d products on the core, want %d", k, c.monts, wantMonts)
+		}
+	}
+}
+
 func TestLadderValidation(t *testing.T) {
-	e, _ := New(big.NewInt(101), Model)
+	e, _ := NewKit(big.NewInt(101), kits.Model)
 	if _, _, err := e.ModExpLadder(big.NewInt(5), big.NewInt(0)); err == nil {
 		t.Error("zero exponent accepted")
 	}
@@ -105,7 +160,7 @@ func TestWindowMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(184))
 	for _, l := range []int{16, 64, 256} {
 		n := randOdd(rng, l)
-		e, _ := New(n, Model)
+		e, _ := NewKit(n, kits.Model)
 		for _, w := range []int{1, 2, 3, 4, 5} {
 			for trial := 0; trial < 4; trial++ {
 				m := new(big.Int).Rand(rng, n)
@@ -126,7 +181,7 @@ func TestWindowMatchesBig(t *testing.T) {
 }
 
 func TestWindowEdgeCases(t *testing.T) {
-	e, _ := New(big.NewInt(101), Model)
+	e, _ := NewKit(big.NewInt(101), kits.Model)
 	if _, _, err := e.ModExpWindow(big.NewInt(5), big.NewInt(3), 0); err == nil {
 		t.Error("w=0 accepted")
 	}
@@ -156,7 +211,7 @@ func TestWindowReducesMultiplies(t *testing.T) {
 	rng := rand.New(rand.NewSource(185))
 	l := 512
 	n := randOdd(rng, l)
-	e, _ := New(n, Model)
+	e, _ := NewKit(n, kits.Model)
 	m := new(big.Int).Rand(rng, n)
 	x := new(big.Int).Rand(rng, n)
 	x.SetBit(x, l-1, 1)

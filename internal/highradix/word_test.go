@@ -10,12 +10,17 @@ import (
 	"repro/internal/mont"
 )
 
-// The word-level CIOS loop vs math/big, across the bit lengths the
-// serving stack actually handles, with the no-subtraction output bound
-// held at every step.
+// limbBoundarySizes puts modulus lengths on both sides of the first two
+// limb steps: S = ⌈(l+2)/64⌉ steps from 1 to 2 limbs between l = 62
+// and 63, and from 2 to 3 between 126 and 127 (l = 64k−2 … 64k+1).
+var limbBoundarySizes = []int{62, 63, 64, 65, 126, 127, 128, 129}
+
+// The word-level CIOS loop vs math/big, across the limb boundaries and
+// the bit lengths the serving stack actually handles, with the
+// no-subtraction output bound held at every step.
 func TestWordMulMatchesClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
-	for _, l := range []int{61, 128, 256, 512, 1024, 2048} {
+	for _, l := range append(limbBoundarySizes, 61, 256, 512, 1024, 2048) {
 		n := randOdd(rng, l)
 		ctx, err := mont.NewCtx(n)
 		if err != nil {
@@ -113,7 +118,7 @@ func TestWordMulWitnessIdentity(t *testing.T) {
 // high-radix kit is a drop-in for the radix-2 path on the wire.
 func TestWordMontPaperSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(604))
-	for _, l := range []int{61, 256, 1024} {
+	for _, l := range append(limbBoundarySizes, 61, 256, 1024) {
 		n := randOdd(rng, l)
 		ctx, _ := mont.NewCtx(n)
 		w := NewWord(ctx)
@@ -144,7 +149,7 @@ func TestWordMontPaperSemantics(t *testing.T) {
 
 func TestWordModExp(t *testing.T) {
 	rng := rand.New(rand.NewSource(605))
-	for _, l := range []int{61, 256, 1024, 2048} {
+	for _, l := range append(limbBoundarySizes, 61, 256, 1024, 2048) {
 		n := randOdd(rng, l)
 		ctx, _ := mont.NewCtx(n)
 		w := NewWord(ctx)

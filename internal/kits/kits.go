@@ -19,6 +19,12 @@
 //   - Big — math/big's own modular arithmetic as an oracle backend.
 //   - Auto — not a backend: a request to pick one of the above per job
 //     from the benchmark table.
+//
+// Each concrete kit implements Core — Mont, ModExp and a simulated-cycle
+// count for one modulus — in its own file (model.go, sim.go, cios.go,
+// big.go), and NewCore is the one constructor mapping a Kit to its
+// implementation. The multiplier, the exponentiator and the engine all
+// compute through a Core rather than switching on the kit.
 package kits
 
 import (

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/highradix"
 	"repro/internal/mont"
+	"repro/internal/systolic"
 )
 
 // Table records, for each (bit-length bucket, op shape) cell, the kit
@@ -80,31 +80,24 @@ func Measure() *Table {
 			}
 			continue
 		}
-		w := highradix.NewWord(ctx)
 		x := new(big.Int).Rand(rng, n)
 		y := new(big.Int).Rand(rng, n)
-
-		t.Rates[b][int(OpModExp)][int(Model)] = rate(func() {
-			if _, _, err := ctx.Exp(x, benchExp); err != nil {
+		for _, k := range [...]Kit{Model, CIOS, Big} {
+			c, err := NewCore(ctx, k, systolic.Guarded)
+			if err != nil {
 				panic(err)
 			}
-		})
-		t.Rates[b][int(OpModExp)][int(CIOS)] = rate(func() {
-			if _, err := w.ModExp(x, benchExp); err != nil {
-				panic(err)
-			}
-		})
-		t.Rates[b][int(OpModExp)][int(Big)] = rate(func() {
-			new(big.Int).Exp(x, benchExp, n)
-		})
-
-		t.Rates[b][int(OpMont)][int(Model)] = rate(func() { ctx.Mul(x, y) })
-		t.Rates[b][int(OpMont)][int(CIOS)] = rate(func() {
-			if _, err := w.Mont(x, y); err != nil {
-				panic(err)
-			}
-		})
-		t.Rates[b][int(OpMont)][int(Big)] = rate(func() { ctx.MulClosedForm(x, y) })
+			t.Rates[b][int(OpModExp)][int(k)] = rate(func() {
+				if _, err := c.ModExp(x, benchExp); err != nil {
+					panic(err)
+				}
+			})
+			t.Rates[b][int(OpMont)][int(k)] = rate(func() {
+				if _, err := c.Mont(x, y); err != nil {
+					panic(err)
+				}
+			})
+		}
 
 		for op := 0; op < NumOps; op++ {
 			t.Picks[b][op] = best(t.Rates[b][op])

@@ -6,10 +6,10 @@ import (
 )
 
 // FuzzAlgorithm2 checks the full Montgomery invariant set on arbitrary
-// operand bytes: output < 2N, correct residue, agreement between the
-// bit-serial and CIOS implementations. Run with `go test -fuzz
-// FuzzAlgorithm2 ./internal/mont` for an open-ended search; the seed
-// corpus runs under plain `go test`.
+// operand bytes: output < 2N and the correct residue. Run with
+// `go test -fuzz FuzzAlgorithm2 ./internal/mont` for an open-ended
+// search; the seed corpus runs under plain `go test`. The word-level
+// kernel has its own target, FuzzWordMul in internal/highradix.
 func FuzzAlgorithm2(f *testing.F) {
 	f.Add([]byte{0x0d}, []byte{0x05}, []byte{0x09})
 	f.Add([]byte{0xff, 0xff}, []byte{0x12, 0x34}, []byte{0xab, 0xcd})
@@ -37,32 +37,15 @@ func FuzzAlgorithm2(f *testing.F) {
 		if new(big.Int).Mod(got, n).Cmp(want) != 0 {
 			t.Fatalf("wrong residue: N=%s x=%s y=%s", n, x, y)
 		}
-
-		// Cross-check CIOS on canonical operands.
-		cios, err := NewCIOS(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xc := new(big.Int).Mod(x, n)
-		yc := new(big.Int).Mod(y, n)
-		a, _ := cios.NewOperand(xc)
-		b, _ := cios.NewOperand(yc)
-		out := NewNat(cios.Words())
-		cios.Mul(out, a, b)
-		r := new(big.Int).Lsh(big.NewInt(1), uint(64*cios.Words()))
-		rinv := new(big.Int).ModInverse(r, n)
-		wantC := new(big.Int).Mul(xc, yc)
-		wantC.Mul(wantC, rinv).Mod(wantC, n)
-		if cios.Big(out).Cmp(wantC) != 0 {
-			t.Fatalf("CIOS wrong: N=%s x=%s y=%s", n, xc, yc)
-		}
 	})
 }
 
-// FuzzNPrime checks the Hensel inverse on arbitrary odd inputs.
+// FuzzNPrime checks the Hensel inverse on arbitrary odd inputs, and at
+// α = 64 that the word kernel's uint64 fast path negInvMod64 agrees.
 func FuzzNPrime(f *testing.F) {
 	f.Add([]byte{0x0d}, uint8(8))
 	f.Add([]byte{0xff, 0x01}, uint8(32))
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf1, 0x23}, uint8(64))
 	f.Fuzz(func(t *testing.T, nb []byte, alpha uint8) {
 		if alpha == 0 || alpha > 64 {
 			t.Skip()
@@ -81,6 +64,12 @@ func FuzzNPrime(f *testing.F) {
 		check.Add(check, big.NewInt(1)).Mod(check, mod)
 		if check.Sign() != 0 {
 			t.Fatalf("N·N'+1 ≢ 0 mod 2^%d for N=%s", alpha, n)
+		}
+		if alpha == 64 {
+			n0 := new(big.Int).Mod(n, mod).Uint64()
+			if got := negInvMod64(n0); np.Cmp(new(big.Int).SetUint64(got)) != 0 {
+				t.Fatalf("negInvMod64(%#x) = %#x, NPrime(N, 64) = %#x", n0, got, np)
+			}
 		}
 	})
 }

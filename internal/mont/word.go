@@ -5,7 +5,7 @@ import (
 )
 
 // WordParams is the word-level (radix-2^64) precompute for one modulus:
-// everything the high-radix CIOS fast path (internal/highradix.Word)
+// everything the radix-2^64 word kernel (internal/highradix.Word)
 // needs that depends only on N. It generalizes the paper's host-side
 // pre-processing — where the radix-2 design needs R² mod N and nothing
 // else (N' degenerates to 1 at α = 1, §2), the radix-2^α design pays for
@@ -66,6 +66,19 @@ func newWordParams(c *Ctx) *WordParams {
 	}
 	p.N0Inv = negInvMod64(p.N[0])
 	return p
+}
+
+// negInvMod64 returns -n⁻¹ mod 2^64 for odd n, by Newton (Hensel)
+// lifting: inv ← inv·(2 − n·inv) doubles the number of correct low
+// bits. Starting from inv = n is already right to 3 bits, because
+// n·n ≡ 1 (mod 8) for every odd n, so five steps give 3 → 6 → 12 → 24
+// → 48 → 96 ≥ 64 correct bits.
+func negInvMod64(n uint64) uint64 {
+	inv := n
+	for i := 0; i < 5; i++ {
+		inv *= 2 - n*inv
+	}
+	return -inv
 }
 
 // WordsFromBig renders x into s little-endian 64-bit limbs. It panics

@@ -141,9 +141,9 @@ func NewCollector(opts ...CollectorOption) *Collector {
 	c.queueHighWater = reg.Gauge("montsys_queue_high_watermark",
 		"Deepest the submission queue has been.")
 	c.modelCycles = reg.Counter("montsys_model_cycles_total",
-		"Cycles by the paper's Eq.-based accounting (Model mode reports).")
+		"Cycles by the paper's Eq.-based accounting (every kit's reports).")
 	c.simCycles = reg.Counter("montsys_simulated_cycles_total",
-		"Clock cycles measured on simulated MMMC circuits (Simulate mode).")
+		"Clock cycles measured on simulated MMMC circuits (Sim kit).")
 	c.queueWait = reg.Histogram("montsys_job_queue_wait_seconds",
 		"Enqueue-to-dequeue wait of every job a core picked up.")
 	c.exec = reg.Histogram("montsys_job_exec_seconds",
@@ -176,12 +176,13 @@ func (c *Collector) Registry() *Registry { return c.reg }
 func (c *Collector) Tracer() *Tracer { return c.tracer }
 
 // SetEngineInfo publishes a one-shot info gauge describing an attached
-// engine (workers, execution mode, array variant) the way Prometheus
-// convention spells build_info.
-func (c *Collector) SetEngineInfo(workers int, mode, variant string) {
+// engine (workers, compute kit, array variant) the way Prometheus
+// convention spells build_info. The kit keeps its original label name,
+// "mode", so existing dashboards still match.
+func (c *Collector) SetEngineInfo(workers int, kit, variant string) {
 	c.reg.GaugeLabeled("montsys_engine_info",
 		"Constant 1, labeled with the attached engine's configuration.",
-		Label("mode", mode), Label("variant", variant)).Set(1)
+		Label("mode", kit), Label("variant", variant)).Set(1)
 	c.reg.Gauge("montsys_engine_workers",
 		"Worker cores of the attached engine.").Set(int64(workers))
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/expo"
 	"repro/internal/fpga"
 	"repro/internal/highradix"
+	"repro/internal/kits"
 	"repro/internal/logic"
 	"repro/internal/mmmc"
 	"repro/internal/systolic"
@@ -161,7 +162,7 @@ func Table1(lengths []int) ([]Table1Row, error) {
 			return nil, err
 		}
 		n := randOdd(rng, l)
-		ex, err := expo.New(n, expo.Model)
+		ex, err := expo.NewKit(n, kits.Model)
 		if err != nil {
 			return nil, err
 		}

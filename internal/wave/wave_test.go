@@ -86,7 +86,7 @@ func TestWriterValidation(t *testing.T) {
 
 // Recorder over a real simulation: a toggling flip-flop produces
 // alternating value changes.
-func TestRecorderWithSimulation(t *testing.T) {
+func TestRecorderOverSimulation(t *testing.T) {
 	nl := logic.New()
 	// Toggle FF: q' = NOT q, via the feedback pattern.
 	buf := nl.BufGate(logic.Const0)

@@ -41,11 +41,15 @@
 //
 //	hw, err := montsys.Hardware(1024)                     // slices, clock, T_MMM
 //
-// Migrating from the pre-kit options: WithSimulation() →
-// WithKit(KitSim); WithMode(Model/Simulate) → WithKit(KitModel/KitSim);
-// WithVariant(v) → WithArrayVariant(v); WithEngineMode/WithEngineVariant
-// → WithEngineKit/WithEngineArrayVariant. The old options remain as
-// deprecated shims with identical behaviour.
+// The execution mode API that predates the kits — a Mode type with
+// Model/Simulate, the options that set it or a simulation flag, the
+// variant options named before the kit API, and the engine's mode
+// accessor — is removed; the repository's CHANGES.md lists every
+// removed name with its replacement. Each kit is one implementation of
+// a small per-modulus compute core (Mont, ModExp, simulated-cycle
+// count); WithKit and WithEngineKit only choose which one, and
+// WithArrayVariant/WithEngineArrayVariant pick the Sim kit's array
+// flavour.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.
@@ -184,36 +188,6 @@ func WithKitAuto() Option { return core.WithKitAuto() }
 // circuit simulates (Guarded by default). No effect on other kits.
 func WithArrayVariant(v Variant) Option { return core.WithArrayVariant(v) }
 
-// WithSimulation routes every product through the cycle-accurate MMMC.
-//
-// Deprecated: use WithKit(KitSim). Behaviour is identical; this shim
-// remains so existing callers keep compiling.
-func WithSimulation() Option { return core.WithSimulation() }
-
-// WithVariant selects the array variant used by the simulated circuit.
-//
-// Deprecated: use WithArrayVariant (same semantics, renamed alongside
-// the kit API so "variant" stops doubling as an execution-path term).
-func WithVariant(v Variant) Option { return core.WithVariant(v) }
-
-// Mode selects how an Exponentiator (or the engine's cores) executes
-// multiplications: Model (reference arithmetic with the paper's cycle
-// formulas) or Simulate (every product through the cycle-accurate MMMC).
-// The kit API subsumes it: Model ≡ KitModel, Simulate ≡ KitSim.
-type Mode = expo.Mode
-
-// Execution modes.
-const (
-	Model    = expo.Model
-	Simulate = expo.Simulate
-)
-
-// WithMode selects the exponentiator's execution mode.
-//
-// Deprecated: use WithKit — WithKit(KitModel) for Model,
-// WithKit(KitSim) for Simulate. Behaviour is identical.
-func WithMode(m Mode) Option { return core.WithMode(m) }
-
 // NewExponentiator returns the paper's modular exponentiator for the
 // odd modulus n, configured with the same functional options as
 // NewMultiplier:
@@ -272,18 +246,6 @@ func WithEngineKitAuto() EngineOption { return engine.WithKitAuto() }
 // WithEngineArrayVariant selects the array variant KitSim cores
 // simulate.
 func WithEngineArrayVariant(v Variant) EngineOption { return engine.WithArrayVariant(v) }
-
-// WithEngineMode selects the cores' execution mode.
-//
-// Deprecated: use WithEngineKit — WithEngineKit(KitModel) for Model,
-// WithEngineKit(KitSim) for Simulate. Behaviour is identical.
-func WithEngineMode(m Mode) EngineOption { return engine.WithMode(m) }
-
-// WithEngineVariant selects the array variant simulated cores use.
-//
-// Deprecated: use WithEngineArrayVariant (same semantics, renamed
-// alongside the kit API).
-func WithEngineVariant(v Variant) EngineOption { return engine.WithVariant(v) }
 
 // WithEngineCtxCacheSize bounds the per-modulus context LRU (default 128).
 func WithEngineCtxCacheSize(n int) EngineOption { return engine.WithCtxCacheSize(n) }

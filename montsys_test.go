@@ -70,8 +70,8 @@ func TestVariantConstants(t *testing.T) {
 	if Faithful.String() != "faithful" || Guarded.String() != "guarded" {
 		t.Error("variant constants not wired through")
 	}
-	if Model.String() != "model" || Simulate.String() != "simulate" {
-		t.Error("mode constants not wired through")
+	if KitModel.String() != "model" || KitSim.String() != "sim" {
+		t.Error("kit constants not wired through")
 	}
 }
 
@@ -104,64 +104,6 @@ func TestExponentiatorOptions(t *testing.T) {
 		if got.Cmp(want) != 0 {
 			t.Fatalf("%s: wrong result", tc.name)
 		}
-	}
-}
-
-// The deprecated pre-kit options must keep compiling and behave
-// identically to the kit options they map onto. This test is the one
-// in-repo caller still on the shims — everything else has migrated.
-func TestDeprecatedOptionShims(t *testing.T) {
-	n := big.NewInt(0xF1F1)
-	x, y := big.NewInt(0x1234), big.NewInt(0xBEEF)
-	for _, tc := range []struct {
-		name     string
-		old, new []Option
-	}{
-		//lint:ignore SA1019 shim-equivalence is exactly what this test checks
-		{"simulation", []Option{WithSimulation()}, []Option{WithKit(KitSim)}},
-		//lint:ignore SA1019 shim-equivalence is exactly what this test checks
-		{"mode-model", []Option{WithMode(Model)}, []Option{WithKit(KitModel)}},
-		//lint:ignore SA1019 shim-equivalence is exactly what this test checks
-		{"mode-sim+variant", []Option{WithMode(Simulate), WithVariant(Faithful)},
-			[]Option{WithKit(KitSim), WithArrayVariant(Faithful)}},
-	} {
-		mo, err := NewMultiplier(n, tc.old...)
-		if err != nil {
-			t.Fatalf("%s: old options: %v", tc.name, err)
-		}
-		mn, err := NewMultiplier(n, tc.new...)
-		if err != nil {
-			t.Fatalf("%s: new options: %v", tc.name, err)
-		}
-		if mo.Kit() != mn.Kit() {
-			t.Fatalf("%s: shim picked kit %s, want %s", tc.name, mo.Kit(), mn.Kit())
-		}
-		a, err := mo.Mont(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := mn.Mont(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Cmp(b) != 0 {
-			t.Fatalf("%s: shim and kit option disagree", tc.name)
-		}
-	}
-
-	// Engine-side shims map onto WithEngineKit the same way.
-	//lint:ignore SA1019 shim-equivalence is exactly what this test checks
-	eng, err := NewEngine(WithEngineWorkers(1), WithEngineMode(Simulate), WithEngineVariant(Guarded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	v, _, err := eng.ModExp(context.Background(), n, big.NewInt(3), big.NewInt(65537))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := new(big.Int).Exp(big.NewInt(3), big.NewInt(65537), n); v.Cmp(want) != 0 {
-		t.Fatal("engine shim produced a wrong answer")
 	}
 }
 
